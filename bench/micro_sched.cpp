@@ -72,6 +72,40 @@ void BM_ScheduleDts(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleDts);
 
+// The 39k-task graph of the whole-system benchmark's chol_tight workload:
+// bcsstk15-like at full scale, 12×12 blocks, 3 processors.
+constexpr int kLargeProcs = 3;
+
+const num::CholeskyApp& large_app() {
+  static const num::CholeskyApp app =
+      num::CholeskyApp::build(num::bcsstk15_like(1.0).matrix, 12, kLargeProcs);
+  return app;
+}
+
+void BM_ScheduleRcpLarge(benchmark::State& state) {
+  const auto& app = large_app();
+  const auto assignment = sched::owner_compute_tasks(app.graph(), kLargeProcs);
+  const auto params = machine::MachineParams::cray_t3d(kLargeProcs);
+  for (auto _ : state) {
+    auto s = sched::schedule_rcp(app.graph(), assignment, kLargeProcs, params);
+    benchmark::DoNotOptimize(s.predicted_makespan);
+  }
+  state.counters["tasks"] = static_cast<double>(app.graph().num_tasks());
+}
+BENCHMARK(BM_ScheduleRcpLarge)->Unit(benchmark::kMillisecond);
+
+void BM_ScheduleMpoLarge(benchmark::State& state) {
+  const auto& app = large_app();
+  const auto assignment = sched::owner_compute_tasks(app.graph(), kLargeProcs);
+  const auto params = machine::MachineParams::cray_t3d(kLargeProcs);
+  for (auto _ : state) {
+    auto s = sched::schedule_mpo(app.graph(), assignment, kLargeProcs, params);
+    benchmark::DoNotOptimize(s.predicted_makespan);
+  }
+  state.counters["tasks"] = static_cast<double>(app.graph().num_tasks());
+}
+BENCHMARK(BM_ScheduleMpoLarge)->Unit(benchmark::kMillisecond);
+
 void BM_SliceDecomposition(benchmark::State& state) {
   const auto& app = shared_app();
   for (auto _ : state) {

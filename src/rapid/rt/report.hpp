@@ -196,7 +196,11 @@ struct RunReport {
   /// kProcFailure); null otherwise. Mirrored into ProcFailureError.
   std::shared_ptr<const ProcFailureReport> proc_failure;
 
-  /// Modeled (simulator) or measured (threaded) parallel time, µs.
+  /// Modeled (simulator) or measured (threaded) parallel time, µs. The
+  /// threaded clock starts after the transport, the arenas and the MAP
+  /// engines are set up (and, on shm, after the segment is created) and
+  /// stops once every worker has been joined or reaped; it therefore
+  /// understates the caller's wall time for run() by that set-up.
   double parallel_time_us = 0.0;
 
   std::vector<std::int32_t> maps_per_proc;

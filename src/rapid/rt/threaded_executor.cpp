@@ -40,6 +40,11 @@ void sleep_us(std::int64_t us) {
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
+/// Where shm rank q's worker process `pid` dumps its trace.
+std::string worker_trace_path(const std::string& dir, ProcId q, pid_t pid) {
+  return cat(dir, "/p", q, ".pid", pid, ".trace.bin");
+}
+
 }  // namespace
 
 struct ThreadedExecutor::Impl {
@@ -1805,33 +1810,23 @@ struct ThreadedExecutor::Impl {
     }
   }
 
-  /// Merges the per-rank trace dumps the workers left in `dir` into the
-  /// session Trace (epoch-rebased; see obs/trace_io.hpp).
+  /// Merges the trace dump each of this session's worker processes left in
+  /// `dir` into the session Trace (epoch-rebased; see obs/trace_io.hpp) and
+  /// removes it, so a reused directory never folds an earlier run's dumps
+  /// into this one. A rank that died before dumping has no file.
   void merge_worker_traces(const std::string& dir) {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::directory_iterator it(dir, ec);
-    if (ec) {
-      RAPID_WARN("shm trace merge: cannot read " << dir << ": "
-                                                 << ec.message());
-      return;
-    }
-    for (const auto& entry : it) {
-      if (!entry.is_regular_file()) continue;
-      const std::string name = entry.path().filename().string();
-      if (name.size() < 11 || name[0] != 'p' ||
-          name.rfind(".trace.bin") != name.size() - 10) {
-        continue;
-      }
+    for (ProcId q = 0; q < plan.num_procs; ++q) {
+      const std::string path =
+          worker_trace_path(dir, q, session->child(q).pid);
+      std::error_code ec;
+      if (!std::filesystem::exists(path, ec)) continue;
       try {
-        const obs::LoadedProcTrace lt =
-            obs::load_proc_trace(entry.path().string());
-        if (lt.proc >= 0 && lt.proc < trace->num_procs()) {
-          obs::merge_proc_trace(trace, lt);
-        }
+        const obs::LoadedProcTrace lt = obs::load_proc_trace(path);
+        if (lt.proc == q) obs::merge_proc_trace(trace, lt);
       } catch (const Error& e) {
-        RAPID_WARN("shm trace merge: skipping " << name << ": " << e.what());
+        RAPID_WARN("shm trace merge: skipping " << path << ": " << e.what());
       }
+      std::filesystem::remove(path, ec);
     }
   }
 
@@ -2212,8 +2207,7 @@ int shm_worker_run(ShmTransport& transport, const RunPlan& plan,
       impl.priv[q].memory ? impl.priv[q].memory->peak_bytes() : 0;
   transport.publish_worker_done(q, counters);
   if (impl.tracing && spec.trace_dir[0] != '\0') {
-    const std::string path =
-        cat(spec.trace_dir, "/p", q, ".pid", ::getpid(), ".trace.bin");
+    const std::string path = worker_trace_path(spec.trace_dir, q, ::getpid());
     if (!obs::save_proc_trace(*impl.trace, q, path)) {
       RAPID_WARN("shm worker p" << q << ": failed to dump trace to "
                                 << path);

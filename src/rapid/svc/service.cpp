@@ -198,6 +198,9 @@ RunRecord& RuntimeService::record_of(std::int64_t run_id) {
 }
 
 std::int64_t RuntimeService::submit(RunRequest request) {
+  // The run's clock starts on entry, so a cache miss's plan build and
+  // admission replay count in its wait_us and latency.
+  const std::int64_t submit_ns = now_ns();
   // The expensive part — building the plan and replaying its demand — runs
   // outside the service lock (the cache has its own).
   std::shared_ptr<const CachedPlan> plan;
@@ -260,7 +263,7 @@ std::int64_t RuntimeService::submit(RunRequest request) {
   pending.run_id = id;
   pending.plan = std::move(plan);
   pending.request = std::move(request);
-  pending.submit_ns = now_ns();
+  pending.submit_ns = submit_ns;
   pending.deadline_ns =
       pending.request.deadline_us > 0
           ? pending.submit_ns + pending.request.deadline_us * 1000

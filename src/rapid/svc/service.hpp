@@ -117,7 +117,8 @@ struct RunRecord {
   /// residual within the workload's acceptance threshold (grid: == 0).
   bool numerics_ok = false;
 
-  /// Microseconds from submit to dispatch and from dispatch to terminal.
+  /// Microseconds from entry to submit() to dispatch (a cache miss's plan
+  /// build and admission replay included) and from dispatch to terminal.
   std::int64_t wait_us = 0;
   std::int64_t exec_us = 0;
 

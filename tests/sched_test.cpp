@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 
+#include "ordering_oracle.hpp"
+#include "rapid/num/cholesky_app.hpp"
+#include "rapid/num/lu_app.hpp"
+#include "rapid/num/workloads.hpp"
 #include "rapid/sched/liveness.hpp"
 #include "rapid/sched/mapping.hpp"
 #include "rapid/sched/ordering.hpp"
 #include "rapid/support/check.hpp"
+#include "rapid/support/rng.hpp"
+#include "rapid/support/str.hpp"
 
 namespace rapid::sched {
 namespace {
@@ -212,6 +219,130 @@ TEST(Ordering, GanttRenders) {
   const std::string gantt = s.gantt(f.graph);
   EXPECT_NE(gantt.find("P0 |"), std::string::npos);
   EXPECT_NE(gantt.find("makespan"), std::string::npos);
+}
+
+// --- Event-driven engine vs. the full-scan oracle (tests/ordering_oracle.hpp)
+
+/// Same order, and the same predicted times down to the bit.
+void expect_identical(const Schedule& engine, const Schedule& scan,
+                      const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_EQ(engine.order, scan.order);
+  const auto bits = [](const std::vector<double>& v) {
+    std::vector<std::uint64_t> out;
+    for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+  };
+  EXPECT_EQ(bits(engine.predicted_start), bits(scan.predicted_start));
+  EXPECT_EQ(bits(engine.predicted_finish), bits(scan.predicted_finish));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(engine.predicted_makespan),
+            std::bit_cast<std::uint64_t>(scan.predicted_makespan));
+}
+
+/// RCP, MPO, DTS and DTS with slice merging under a zero budget, the widest
+/// slice's demand and an unbounded budget, each against the oracle.
+void expect_all_policies_match(const TaskGraph& g, int procs,
+                               const std::string& what) {
+  const auto assignment = owner_compute_tasks(g, procs);
+  const auto params = machine::MachineParams::cray_t3d(procs);
+  const std::string at = cat(what, " p=", procs);
+  expect_identical(schedule_rcp(g, assignment, procs, params),
+                   oracle::schedule_rcp(g, assignment, procs, params),
+                   at + " RCP");
+  expect_identical(schedule_mpo(g, assignment, procs, params),
+                   oracle::schedule_mpo(g, assignment, procs, params),
+                   at + " MPO");
+  expect_identical(schedule_dts(g, assignment, procs, params),
+                   oracle::schedule_dts(g, assignment, procs, params),
+                   at + " DTS");
+  const auto demand = slice_volatile_demand(g, graph::compute_slices(g),
+                                            assignment, procs);
+  const std::int64_t widest =
+      demand.empty() ? 0 : *std::max_element(demand.begin(), demand.end());
+  for (const std::int64_t budget :
+       {std::int64_t{0}, widest, std::numeric_limits<std::int64_t>::max()}) {
+    expect_identical(
+        schedule_dts(g, assignment, procs, params, budget),
+        oracle::schedule_dts(g, assignment, procs, params, budget),
+        cat(at, " DTS+merge budget=", budget));
+  }
+}
+
+constexpr int kOracleProcs[] = {1, 2, 3, 8};
+
+/// A seeded random task program. Flops come from {1, 2} and every object
+/// has the same size, so bottom levels tie often; tasks touch 1–4 objects,
+/// so memory priorities (resident / accessed) tie often too.
+TaskGraph random_tie_heavy_dag(std::uint64_t seed, int procs) {
+  Rng rng(seed);
+  TaskGraph g;
+  const int num_objects = static_cast<int>(4 + rng.next_below(28));
+  const int num_tasks = static_cast<int>(8 + rng.next_below(120));
+  const std::int64_t size = seed % 2 == 0 ? 64 : 8 + 8 * (seed % 5);
+  for (int d = 0; d < num_objects; ++d) {
+    g.add_data(cat("d", d), size, static_cast<ProcId>(d % procs));
+  }
+  for (int t = 0; t < num_tasks; ++t) {
+    const auto target = static_cast<DataId>(rng.next_below(num_objects));
+    std::vector<DataId> reads;
+    const int fan = static_cast<int>(rng.next_below(4));
+    for (int r = 0; r < fan; ++r) {
+      reads.push_back(static_cast<DataId>(rng.next_below(num_objects)));
+    }
+    const std::int32_t group = rng.next_bool(0.2) ? target : -1;
+    g.add_task(cat("T", t), std::move(reads), {target},
+               1.0 + static_cast<double>(rng.next_below(2)), group);
+  }
+  g.finalize();
+  return g;
+}
+
+TEST(OrderingOracle, RandomDagsMatchTheScanBitForBit) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    for (int procs : kOracleProcs) {
+      expect_all_policies_match(random_tie_heavy_dag(seed, procs), procs,
+                                cat("seed=", seed));
+    }
+  }
+}
+
+TEST(OrderingOracle, FullTiesMatchTheScanBitForBit) {
+  // Independent tasks of equal cost, each writing its own object and
+  // reading two shared inputs: bottom levels all tie, and memory priorities
+  // tie until the first allocations split them, so the task-id tie-break
+  // and the incremental residency decide the order.
+  for (int procs : kOracleProcs) {
+    TaskGraph g;
+    std::vector<DataId> inputs;
+    for (int k = 0; k < 8; ++k) {
+      inputs.push_back(
+          g.add_data(cat("in", k), 16, static_cast<ProcId>(k % procs)));
+    }
+    for (int t = 0; t < 24; ++t) {
+      const DataId out =
+          g.add_data(cat("out", t), 16, static_cast<ProcId>(t % procs));
+      g.add_task(cat("T", t), {inputs[(t + 1) % 8], inputs[(t + 3) % 8]},
+                 {out}, 1.0);
+    }
+    g.finalize();
+    expect_all_policies_match(g, procs, "ties");
+  }
+}
+
+TEST(OrderingOracle, PaperExampleMatchesTheScanBitForBit) {
+  const TaskGraph g = graph::make_paper_figure2_graph();
+  expect_all_policies_match(g, 2, "figure 2");
+}
+
+TEST(OrderingOracle, CholeskyAndLuMatchTheScanBitForBit) {
+  for (int procs : kOracleProcs) {
+    const auto chol =
+        num::CholeskyApp::build(num::bcsstk15_like(0.4).matrix, 6, procs);
+    expect_all_policies_match(chol.graph(), procs, "cholesky");
+    const auto lu =
+        num::LuApp::build(num::goodwin_like(0.15).matrix, 4, procs);
+    expect_all_policies_match(lu.graph(), procs, "lu");
+  }
 }
 
 }  // namespace

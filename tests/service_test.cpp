@@ -7,13 +7,16 @@
 // contract in isolation so a regression names itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "rapid/rt/faults.hpp"
 #include "rapid/svc/service.hpp"
+#include "rapid/support/stopwatch.hpp"
 
 namespace rapid::svc {
 namespace {
@@ -235,6 +238,26 @@ TEST(Service, FaultInOneRunNeverPausesCoResidents) {
   const ServiceReport report = service.report();
   EXPECT_EQ(report.completed, 2);
   EXPECT_EQ(report.failed, 0);
+}
+
+TEST(Service, CacheMissWaitCoversThePlanBuild) {
+  // A run's clock starts on entry to submit(), so a cache miss's plan build
+  // and admission replay count in its wait_us; a hit on the same spec
+  // skips both. Lower bound on the build: the fastest of three builds of
+  // the spec in a private cache.
+  const std::string spec = "cholesky:grid=24,block=4,procs=3";
+  double build_us = std::numeric_limits<double>::infinity();
+  for (int i = 0; i < 3; ++i) {
+    PlanCache cache(1);
+    Stopwatch sw;
+    ASSERT_TRUE(cache.get(spec, grid_request(spec).config));
+    build_us = std::min(build_us, sw.seconds() * 1e6);
+  }
+  RuntimeService service;
+  const RunRecord& miss = service.wait(service.submit(grid_request(spec)));
+  ASSERT_EQ(miss.state, RunState::kCompleted) << miss.reason;
+  EXPECT_GE(static_cast<double>(miss.wait_us), 0.5 * build_us);
+  EXPECT_EQ(service.report().cache_misses, 1);
 }
 
 }  // namespace

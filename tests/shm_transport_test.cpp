@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -24,6 +25,8 @@
 
 #include "counter_app.hpp"
 #include "rapid/num/shm_workloads.hpp"
+#include "rapid/obs/metrics.hpp"
+#include "rapid/obs/trace.hpp"
 #include "rapid/rt/faults.hpp"
 #include "rapid/rt/proc_failure.hpp"
 #include "rapid/rt/recovery.hpp"
@@ -161,6 +164,42 @@ std::string worker_binary_path() {
   dir.resize(slash);
   const std::string candidate = dir + "/../src/rapid/rt/rapid_shm_worker";
   return ::access(candidate.c_str(), X_OK) == 0 ? candidate : std::string();
+}
+
+TEST(ShmTransportRun, ReusedTraceDirMergesOnlyThisRunsDumps) {
+  RAPID_SKIP_UNDER_TSAN();
+  // Two traced runs share one dump directory. Each run merges only the
+  // dumps of its own worker processes and removes them, so the second
+  // trace holds one run's tasks and residencies that fit its wall time.
+  CounterApp app(4);
+  const auto liveness = sched::analyze_liveness(app.graph, app.schedule);
+  const RunConfig config = app.config(liveness.min_mem());
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      cat("rapid-shm-trace-reuse-", ::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  ThreadedOptions options = shm_options();
+  options.shm_trace_dir = dir.string();
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(cat("run ", run));
+    obs::Trace trace(4);
+    options.trace = &trace;
+    ThreadedExecutor exec(app.plan, config, app.make_init(), app.make_body(),
+                          options);
+    const RunReport r = exec.run();
+    ASSERT_TRUE(r.executable) << r.failure;
+    ASSERT_TRUE(r.metrics);
+    EXPECT_EQ(r.metrics->task_us.count(), app.graph.num_tasks());
+    double summed = 0.0;
+    for (const double us : r.metrics->state_residency_us) {
+      EXPECT_GE(us, 0.0);
+      summed += us;
+    }
+    EXPECT_LE(summed, 4 * r.parallel_time_us);
+    EXPECT_TRUE(std::filesystem::is_empty(dir));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShmTransportRun, SpawnedWorkersRebuildThePlanFromSpec) {
